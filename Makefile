@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-smoke bench-cpu bench-cache bench-fluid bench-fluid-contended bench-cluster bench-trend bench-trend-update serve-smoke verify-fw ci lint examples results clean
+.PHONY: install test test-fast bench bench-e2e bench-smoke bench-cpu bench-cache bench-fluid bench-fluid-contended bench-cluster bench-trend bench-trend-update serve-smoke verify-fw ci lint examples results clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -31,6 +31,19 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/cluster_probe.py
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience.py \
 		benchmarks/test_cluster_resilience.py -q
+
+# End-to-end benchmark: every perfbench workload at seed 1, untraced,
+# at least three fresh-interpreter passes each.  Prints each run's
+# metrics line; fails if any workload reports "correct": false (a pass
+# raised, stalled, broke an invariant or missed its golden).
+E2E_WORKLOADS = fwd_event ids_flows rack_fluid iss_firewall
+bench-e2e:
+	@status=0; for w in $(E2E_WORKLOADS); do \
+		line=$$($(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$line"; \
+		echo "$$line" | $(PYTHON) -c "import json, sys; sys.exit(0 if json.loads(sys.stdin.read())['correct'] else 1)" \
+			|| { echo "FAIL: $$w reported an incorrect pass"; status=1; }; \
+	done; exit $$status
 
 # Trend gate: compare the probe JSONs under benchmarks/results/ against
 # the committed baselines.json with per-metric tolerance bands.  Run

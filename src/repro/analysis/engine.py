@@ -309,58 +309,70 @@ class SweepRunner:
 
     def _run_pool(self, poolable) -> List[PointOutcome]:
         outcomes: List[PointOutcome] = []
-        remaining = list(poolable)
-        # The pool is rebuilt after a hard worker death (BrokenExecutor);
-        # each rebuild resubmits only the still-unfinished points.
-        while remaining:
-            context = get_context(self.mp_context)
-            executor = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(remaining)), mp_context=context
-            )
-            futures: List[Tuple[int, ExperimentSpec, str, Future]] = []
+        suspects: List[Tuple[int, ExperimentSpec, str]] = []
+        executor = self._executor(len(poolable))
+        try:
+            futures = [
+                (index, spec, key, executor.submit(_execute_point, spec))
+                for index, spec, key in poolable
+            ]
+            for index, spec, key, future in futures:
+                outcome = self._collect(index, spec, key, future)
+                if outcome is None:
+                    suspects.append((index, spec, key))
+                else:
+                    outcomes.append(outcome)
+        finally:
+            executor.shutdown(wait=False, cancel_futures=True)
+        # A dead worker poisons every future of its pool, so a poisoned
+        # point is not necessarily the one that crashed.  Re-run the
+        # poisoned points through a single worker, which runs them one
+        # at a time: the first point poisoned there is the one that
+        # killed it.  The rest go round again in a fresh worker.
+        while suspects:
+            executor = self._executor(1)
             try:
-                for index, spec, key in remaining:
-                    futures.append(
-                        (index, spec, key, executor.submit(_execute_point, spec))
-                    )
-                remaining = []
-                broken = False
+                futures = [
+                    (index, spec, key, executor.submit(_execute_point, spec))
+                    for index, spec, key in suspects
+                ]
+                suspects = []
                 for position, (index, spec, key, future) in enumerate(futures):
-                    if broken:
-                        # A dead worker poisons every future submitted to
-                        # this pool; resubmit the not-yet-collected tail.
-                        if not future.done() or future.exception() is not None:
-                            remaining.append((index, spec, key))
-                            continue
                     t0 = time.perf_counter()
-                    try:
-                        status, payload = future.result(timeout=self.point_timeout)
-                    except TimeoutError:
-                        future.cancel()
-                        outcomes.append(
-                            self._finish(
-                                index, spec, key, "timeout",
-                                f"point exceeded {self.point_timeout}s wall clock",
-                                time.perf_counter() - t0,
-                            )
-                        )
+                    outcome = self._collect(index, spec, key, future)
+                    if outcome is not None:
+                        outcomes.append(outcome)
                         continue
-                    except BrokenExecutor:
-                        outcomes.append(
-                            self._finish(
-                                index, spec, key, "error",
-                                "worker process died (crash or OOM)",
-                                time.perf_counter() - t0,
-                            )
-                        )
-                        broken = True
-                        continue
-                    outcomes.append(
-                        self._finish(
-                            index, spec, key, status, payload,
-                            time.perf_counter() - t0,
-                        )
-                    )
+                    outcomes.append(self._finish(
+                        index, spec, key, "error",
+                        "worker process died (crash or OOM)",
+                        time.perf_counter() - t0,
+                    ))
+                    suspects = [item[:3] for item in futures[position + 1:]]
+                    break
             finally:
                 executor.shutdown(wait=False, cancel_futures=True)
         return outcomes
+
+    def _executor(self, n_points: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=min(self.jobs, n_points),
+            mp_context=get_context(self.mp_context),
+        )
+
+    def _collect(
+        self, index: int, spec: ExperimentSpec, key: str, future: Future
+    ) -> Optional[PointOutcome]:
+        """The point's outcome, or None if a worker death poisoned it."""
+        t0 = time.perf_counter()
+        try:
+            status, payload = future.result(timeout=self.point_timeout)
+        except TimeoutError:
+            future.cancel()
+            status = "timeout"
+            payload = f"point exceeded {self.point_timeout}s wall clock"
+        except BrokenExecutor:
+            return None
+        return self._finish(
+            index, spec, key, status, payload, time.perf_counter() - t0
+        )

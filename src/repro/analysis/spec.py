@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -60,6 +61,11 @@ class SpecError(ValueError):
     """Raised for inconsistent experiment specifications."""
 
 
+#: Largest frame a traffic profile may ask for: IPv4's 16-bit total
+#: length field cannot describe anything bigger.
+MAX_PACKET_BYTES = 65535
+
+
 @dataclass(frozen=True)
 class MeasurementWindow:
     """Warmup + measurement interval, in packets (the §6 methodology:
@@ -68,6 +74,18 @@ class MeasurementWindow:
     warmup_packets: int = 2000
     measure_packets: int = 8000
     max_cycles: float = 500_000_000.0
+
+    def __post_init__(self) -> None:
+        # measure_packets=0 is allowed: a zero-length window reports 0 rates
+        if self.warmup_packets < 0 or self.measure_packets < 0:
+            raise SpecError(
+                f"packet counts must be non-negative (warmup="
+                f"{self.warmup_packets}, measure={self.measure_packets})"
+            )
+        if not (math.isfinite(self.max_cycles) and self.max_cycles > 0):
+            raise SpecError(
+                f"max_cycles {self.max_cycles} must be finite and positive"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -102,8 +120,14 @@ class TrafficProfile:
             raise SpecError("need at least one traffic port")
         if self.packet_size < 1:
             raise SpecError(f"packet size {self.packet_size} must be positive")
-        if self.offered_gbps <= 0:
-            raise SpecError("offered rate must be positive")
+        if self.packet_size > MAX_PACKET_BYTES:
+            raise SpecError(
+                f"packet size {self.packet_size} exceeds {MAX_PACKET_BYTES} bytes"
+            )
+        if not (math.isfinite(self.offered_gbps) and self.offered_gbps > 0):
+            raise SpecError(
+                f"offered rate {self.offered_gbps} must be finite and positive"
+            )
         # Accept a plain dict for convenience; store sorted items so the
         # profile hashes and pickles stably.
         if isinstance(self.source_kwargs, dict):

@@ -105,7 +105,8 @@ class FunctionalCluster:
             return
         target = self.pushed
         budget = {i: max_instructions_per_rpu for i in range(len(self.rpus))}
-        seen = {i: 0 for i in range(len(self.rpus))}
+        # packets sent by earlier drains already returned their credits
+        seen = {i: len(rpu.sent) for i, rpu in enumerate(self.rpus)}
         while self.total_sent() < target:
             progressed = False
             for index, rpu in enumerate(self.rpus):

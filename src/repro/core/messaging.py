@@ -39,6 +39,8 @@ class LoopbackPort:
     ) -> None:
         self.config = config
         self.counters = CounterSet(["frames", "bytes"])
+        frames = self.counters["frames"]
+        frame_bytes = self.counters["bytes"]
         period = config.clock.period_ns
 
         def service(packet: Packet, nbytes: int) -> float:
@@ -46,8 +48,8 @@ class LoopbackPort:
             return max(serialize, float(config.loopback_cycles))
 
         def done(packet: Packet) -> None:
-            self.counters.add("frames")
-            self.counters.add("bytes", packet.size)
+            frames.add()
+            frame_bytes.add(packet.size)
             on_done(packet)
 
         self.link = SerialLink(sim, "loopback", service, done)
@@ -98,6 +100,9 @@ class BroadcastSystem:
         self.on_deliver = on_deliver
         self.latency_ns = Histogram("broadcast_latency_ns")
         self.counters = CounterSet(["sent", "delivered", "blocked_retries"])
+        self._sent = self.counters["sent"]
+        self._delivered = self.counters["delivered"]
+        self._blocked_retries = self.counters["blocked_retries"]
         self._fifos: List[Deque[BroadcastMessage]] = [
             deque() for _ in range(config.n_rpus)
         ]
@@ -142,13 +147,13 @@ class BroadcastSystem:
         fifo = self._fifos[msg.sender]
         if len(fifo) >= self.config.bcast_fifo_depth:
             # blocked store: retry next cycle
-            self.counters.add("blocked_retries")
+            self._blocked_retries.add()
             self.sim.schedule(
                 1, lambda: self._attempt_enqueue(msg, on_enqueued), name="bcast_block"
             )
             return
         fifo.append(msg)
-        self.counters.add("sent")
+        self._sent.add()
         self._start_arbiter()
         if on_enqueued is not None:
             self.sim.schedule(1, on_enqueued, name="bcast_retired")
@@ -188,7 +193,7 @@ class BroadcastSystem:
         msg.delivered_at = self.sim.now
         latency_cycles = msg.delivered_at - msg.sent_at
         self.latency_ns.record(latency_cycles * self.config.clock.period_ns)
-        self.counters.add("delivered")
+        self._delivered.add()
         for rpu in range(self.config.n_rpus):
             if rpu == msg.sender:
                 continue

@@ -42,6 +42,9 @@ class RpuModel:
         self.firmware = firmware
         self.on_action = on_action
         self.counters = CounterSet(["packets", "sw_cycles", "accel_cycles"])
+        self._packets = self.counters["packets"]
+        self._sw_cycles = self.counters["sw_cycles"]
+        self._accel_cycles = self.counters["accel_cycles"]
         self.paused = False
 
         self._in_queue: Deque[Packet] = deque()
@@ -108,8 +111,8 @@ class RpuModel:
             result = self.firmware.process(packet, self.index)
         self._results[packet.packet_id] = result
         self._sw_busy = True
-        self.counters.add("packets")
-        self.counters.add("sw_cycles", int(result.sw_cycles))
+        self._packets.add()
+        self._sw_cycles.add(int(result.sw_cycles))
         generation = self._generation
         self.sim.schedule(
             result.sw_cycles,
@@ -140,7 +143,7 @@ class RpuModel:
         packet = self._accel_queue.popleft()
         result = self._results[packet.packet_id]
         self._accel_busy = True
-        self.counters.add("accel_cycles", int(result.accel_cycles))
+        self._accel_cycles.add(int(result.accel_cycles))
         generation = self._generation
         self.sim.schedule(
             result.accel_cycles,

@@ -43,6 +43,8 @@ class PortIngress:
         self.lb = lb
         self.dispatch = dispatch
         self.counters = CounterSet(["assigned", "wait_for_slot", "oversize_drops"])
+        self._assigned = self.counters["assigned"]
+        self._wait_for_slot = self.counters["wait_for_slot"]
         self._current: Optional[Packet] = None
         self._busy = False
         self._waiting_for_slot = False
@@ -76,10 +78,10 @@ class PortIngress:
             # head-of-line block until a slot frees
             self._busy = False
             self._waiting_for_slot = True
-            self.counters.add("wait_for_slot")
+            self._wait_for_slot.add()
             return
         self._waiting_for_slot = False
-        self.counters.add("assigned")
+        self._assigned.add()
         packet.stamp("lb_assigned", self.sim.now)
         self._current = None
         self._busy = False
@@ -124,6 +126,8 @@ class ClusterSwitch:
         self.config = config
         self.name = name
         self.counters = CounterSet(["frames", "bytes"])
+        self._frames = self.counters["frames"]
+        self._bytes = self.counters["bytes"]
         self._on_done = on_done
         self._queues = {cls: [] for cls in self.INPUT_CLASSES}
         self._busy = False
@@ -159,8 +163,8 @@ class ClusterSwitch:
         self.sim.schedule(service, self._grant, name=self.name)
 
     def _deliver(self, packet: Packet) -> None:
-        self.counters.add("frames")
-        self.counters.add("bytes", packet.size)
+        self._frames.add()
+        self._bytes.add(packet.size)
         self._on_done(packet)
 
 

@@ -8,8 +8,8 @@ traffic feeds and exposes:
 
 * :meth:`step` — advance the event simulation by ``n_events`` fired
   events and/or up to an absolute timestamp ``until_ts`` (or a relative
-  ``cycles`` budget), with the measurement state machine pumped at
-  every event boundary;
+  ``cycles`` budget), with the measurement state machine's phase
+  changes landing on exact event boundaries;
 * :meth:`inject` — offer packets mid-flight (port ingress or the
   host's virtual-Ethernet trace path);
 * :meth:`control` — live control-plane actions: hot firmware
@@ -33,11 +33,11 @@ perturb it).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.firmware_api import FirmwareModel
 from ..sim.clock import max_effective_gbps
-from ..sim.stats import Histogram
+from ..sim.stats import Histogram, Tripwire
 from ..analysis.harness import ThroughputResult
 from ..analysis.spec import (
     LB_REGISTRY,
@@ -57,11 +57,15 @@ class SessionError(RuntimeError):
 #
 # These replicate analysis/harness.py's retired batch loops as
 # resumable drivers: ``pump()`` performs every phase transition whose
-# completion target has been reached, and the caller (the session)
-# interleaves ``pump()`` with single ``sim.step()`` calls.  Byte
-# identity with the legacy loops rests on pumping *before every fired
-# event*, so baselines and final readings land on the same event
-# boundaries regardless of how the caller chunks its stepping.
+# completion target has been reached.  Byte identity with the legacy
+# loops rests on every transition landing on the event boundary right
+# after the completion that reached its target, regardless of how the
+# caller chunks its stepping.  The driver gets there without polling:
+# its completion counters carry a tripwire that calls ``sim.stop()``
+# the moment they reach the current target, so the session runs the
+# kernel in one ``sim.run`` per phase and pumps when it returns.  (The
+# fluid tier still pumps before every event: a warp advances counters
+# without going through ``Counter.add``.)
 
 
 class _MeasurementDriver:
@@ -76,18 +80,26 @@ class _MeasurementDriver:
         self.deadline = self.sim.now + window.max_cycles
         self.phase = "warmup"
         self.result: Any = None
+        counters = system.counters
+        self._tripwire = Tripwire(
+            (counters[name] for name in self._completion_counters()), self.sim.stop
+        )
 
     @property
     def done(self) -> bool:
         return self.phase == "done"
 
     def completions(self) -> int:
-        raise NotImplementedError
+        return self._tripwire.total()
 
     def target(self) -> int:
         if self.phase == "warmup":
             return self.window.warmup_packets
         return self.window.warmup_packets + self.window.measure_packets
+
+    def arm(self) -> None:
+        """Make the completion counters stop the kernel at the target."""
+        self._tripwire.arm(self.target())
 
     def pump(self) -> None:
         """Run every phase transition whose target has been reached."""
@@ -98,6 +110,7 @@ class _MeasurementDriver:
             else:
                 self._finish()
                 self.phase = "done"
+                self._tripwire.release()
 
     def check_stall(self) -> None:
         """The legacy loops' stall guard, evaluated between events."""
@@ -112,6 +125,10 @@ class _MeasurementDriver:
         return out
 
     # -- subclass hooks ----------------------------------------------------
+
+    def _completion_counters(self) -> Tuple[str, ...]:
+        """Names of the system counters whose sum is the completions."""
+        raise NotImplementedError
 
     def _begin_measure(self) -> None:
         raise NotImplementedError
@@ -141,18 +158,16 @@ class _ThroughputDriver(_MeasurementDriver):
         include_host: bool = True,
         include_absorbed: bool = False,
     ) -> None:
-        super().__init__(system, window)
         self.packet_size = packet_size
         self.offered_gbps_total = offered_gbps_total
         self.include_host = include_host
         self.include_absorbed = include_absorbed
+        super().__init__(system, window)
 
-    def completions(self) -> int:
-        done = self.system.counters.value("delivered")
+    def _completion_counters(self) -> Tuple[str, ...]:
         if self.include_host:
-            done += self.system.counters.value("to_host")
-            done += self.system.counters.value("dropped_by_firmware")
-        return done
+            return ("delivered", "to_host", "dropped_by_firmware")
+        return ("delivered",)
 
     def _begin_measure(self) -> None:
         system = self.system
@@ -236,8 +251,8 @@ class _LatencyDriver(_MeasurementDriver):
 
     mode = "latency"
 
-    def completions(self) -> int:
-        return self.system.counters.value("delivered")
+    def _completion_counters(self) -> Tuple[str, ...]:
+        return ("delivered",)
 
     def _begin_measure(self) -> None:
         self._histogram = Histogram("latency_us")
@@ -423,10 +438,11 @@ class SimSession:
         Fires at most ``n_events`` events and/or every event up to
         absolute time ``until_ts`` (``cycles`` is relative shorthand);
         with no bound, runs until the event queue drains or the active
-        measurement completes.  The measurement state machine is pumped
-        before every event, and stepping pauses the instant a
-        measurement finishes so its result is frozen at the same event
-        boundary the batch engine would have stopped on.
+        measurement completes.  Each measurement phase change lands on
+        the event boundary where its target was reached, and stepping
+        pauses the instant a measurement finishes so its result is
+        frozen at the same event boundary the batch engine would have
+        stopped on.
         """
         self.start()
         sim = self.sim
@@ -455,14 +471,27 @@ class SimSession:
                 break
             if until_ts is not None and upcoming > until_ts:
                 break
-            sim.step()
             if fluid is not None:
+                sim.step()
                 fluid.after_event()
-            fired += 1
+                fired += 1
+                continue
+            # one kernel run up to the next phase change (the tripwire
+            # stops it), the event budget, or the time bound
+            if driver is not None and not driver.done:
+                driver.arm()
+            before = sim.events_processed
+            sim.run(
+                until=until_ts,
+                max_events=None if n_events is None else n_events - fired,
+            )
+            fired += sim.events_processed - before
         if until_ts is not None and not froze and sim.now < until_ts:
-            # no events left before the bound: advance the clock to it
-            # (matches Simulator.run(until=...) semantics)
-            sim.run(until=until_ts)
+            upcoming = sim.peek()
+            if upcoming is None or upcoming > until_ts:
+                # no events left before the bound: advance the clock to
+                # it (an exhausted event budget leaves it where it is)
+                sim.run(until=until_ts)
         return {
             "events": fired,
             "now": sim.now,
@@ -493,9 +522,14 @@ class SimSession:
             if fluid is not None and fluid.pre_step(None):
                 continue
             driver.check_stall()
-            sim.step()
             if fluid is not None:
+                sim.step()
                 fluid.after_event()
+            else:
+                # the tripwire stops the run at the next phase change;
+                # the deadline returns control to check_stall above
+                driver.arm()
+                sim.run(deadline=driver.deadline)
         if self._result is None:
             self._finalize()
         return self._result

@@ -1,19 +1,28 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small: timestamped events ordered by
-``(time, seq)``, plus a handful of conveniences (named processes, stop
-conditions, a monotonically increasing event sequence number so
-same-time events fire in schedule order).
+The kernel is deliberately small: one binary heap of
+``(time, seq, event)`` entries, where ``seq`` is a monotonically
+increasing schedule number, so same-time events fire in schedule order
+and the heap never compares two events.  Cancelled events stay in the
+heap and are skipped when they reach its top (lazy deletion); once they
+exceed a fraction of the stored entries the heap is compacted wholesale,
+so a workload that cancels aggressively (e.g. timeout timers) cannot
+bloat the queue.
 
-Internally events are *batched by timestamp*: the heap orders only the
-distinct pending times, and every event sharing a timestamp lives in a
-FIFO bucket behind that heap entry.  Middlebox simulations schedule
-many same-cycle events (one per packet per pipeline stage), so this
-cuts heap traffic by the average bucket size while preserving the
-exact ``(time, seq)`` firing order.  Cancelled events are skipped when
-their bucket drains and compacted wholesale once they exceed a
-fraction of the pending set, so a workload that cancels aggressively
-(e.g. timeout timers) cannot bloat the queue.
+Every way of advancing time goes through the one loop in
+:meth:`Simulator.run`: :meth:`~Simulator.step` is ``run`` with a budget
+of one event, and :meth:`~Simulator.run_profile` is ``run`` with an
+observer that counts event names.  The loop stops before firing the
+next event when any of these holds:
+
+* :meth:`~Simulator.stop` was called (typically by a callback, e.g. a
+  measurement counter reaching its phase target) — the in-flight event
+  completes first;
+* the queue is empty, or the next event lies beyond ``until`` — in
+  which case the clock advances to exactly ``until``;
+* ``max_events`` events have fired, or the clock has passed
+  ``deadline`` (a stall guard) — the clock stays where the last event
+  left it.
 
 Time is kept in *cycles* of the Rosebud fabric clock by convention
 (250 MHz => 4 ns per cycle), but the kernel itself is unit-agnostic; the
@@ -27,9 +36,10 @@ queue they were skipped or compacted away.
 
 from __future__ import annotations
 
-import heapq
+import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
@@ -38,33 +48,51 @@ class SimulationError(RuntimeError):
     the past) or a driven process dies."""
 
 
-@dataclass(order=True)
 class Event:
     """A single scheduled callback.
 
-    Events compare by ``(time, seq)`` so that simultaneous events run in
-    the order they were scheduled, which keeps runs deterministic.
+    The queue orders events by ``(time, seq)`` so that simultaneous
+    events run in the order they were scheduled, which keeps runs
+    deterministic.
     """
 
-    time: float
-    seq: int
-    callback: Callable[[], Any] = field(compare=False)
-    name: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    _sim: Optional["Simulator"] = field(default=None, compare=False, repr=False)
+    __slots__ = ("time", "seq", "callback", "name", "cancelled", "_sim")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[[], Any],
+        name: str = "",
+        cancelled: bool = False,
+        _sim: Optional["Simulator"] = None,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.name = name
+        self.cancelled = cancelled
+        self._sim = _sim
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, seq={self.seq}, name={self.name!r}, "
+            f"cancelled={self.cancelled})"
+        )
 
     def cancel(self) -> None:
         """Prevent the event from firing.
 
-        Cancelled events stay queued but are skipped when their bucket
-        drains; this is O(1) and avoids heap surgery.  The owning
-        simulator counts them and compacts the queue when they pile up.
+        Cancelled events stay queued but are skipped when they reach the
+        top of the heap; this is O(1) and avoids heap surgery.  The
+        owning simulator counts them and compacts the queue when they
+        pile up.
         """
         if self.cancelled:
             return
         self.cancelled = True
         if self._sim is not None:
-            self._sim._note_cancel()
+            self._sim._n_cancelled += 1
 
 
 @dataclass
@@ -87,12 +115,12 @@ class SimProfile:
         return "\n".join(lines)
 
 
-#: Compact once cancelled events exceed this fraction of the pending set
-#: (and the absolute floor below, so tiny queues never bother).
+#: Compact once cancelled events exceed this fraction of the stored
+#: entries (and the absolute floor below, so tiny queues never bother).
 COMPACT_FRACTION = 0.5
 COMPACT_MIN_CANCELLED = 64
 
-_EMPTY: List[Event] = []
+_INF = math.inf
 
 
 class Simulator:
@@ -106,20 +134,12 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        # Distinct pending times; each has exactly one FIFO bucket in
-        # _buckets, except the time currently promoted to _batch.
-        self._times: List[float] = []
-        self._buckets: Dict[float, List[Event]] = {}
-        # The bucket currently being drained (always holds the minimum
-        # pending time; see schedule_at's de-promotion path).
-        self._batch: List[Event] = _EMPTY
-        self._batch_pos = 0
-        self._batch_time: Optional[float] = None
+        #: ``(time, seq, event)`` entries, live and cancelled; the list
+        #: object never changes, so the run loop may hold it in a local
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._now = 0.0
-        self._running = False
         self._stopped = False
-        self._n_pending = 0  # live (non-cancelled) events queued
         self._n_cancelled = 0  # cancelled events still stored
         self.events_processed = 0
         self.compactions = 0
@@ -140,121 +160,50 @@ class Simulator:
     def schedule_at(
         self, time: float, callback: Callable[[], Any], name: str = ""
     ) -> Event:
-        """Schedule ``callback`` at an absolute time."""
-        if time < self._now:
+        """Schedule ``callback`` at an absolute time (never NaN)."""
+        if not time >= self._now:  # also rejects NaN, which compares false
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        event = Event(time=time, seq=self._seq, callback=callback, name=name, _sim=self)
-        self._seq += 1
-        self._n_pending += 1
-        batch_time = self._batch_time
-        if batch_time is not None:
-            if time == batch_time:
-                # Same timestamp as the active batch: appending keeps
-                # (time, seq) order because every batched event has a
-                # smaller seq.
-                self._batch.append(event)
-                self._maybe_compact()
-                return event
-            if time < batch_time:
-                # Scheduled (from outside a callback) before the batch
-                # we already promoted: push the batch back and let the
-                # heap re-order.  Rare, so the slice is acceptable.
-                self._demote_batch()
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [event]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(event)
-        self._maybe_compact()
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, name, False, self)
+        heappush(self._heap, (time, seq, event))
+        if self._n_cancelled >= COMPACT_MIN_CANCELLED:
+            self._maybe_compact()
         return event
 
-    def _demote_batch(self) -> None:
-        remaining = self._batch[self._batch_pos :]
-        if remaining:
-            assert self._batch_time is not None
-            existing = self._buckets.get(self._batch_time)
-            if existing is None:
-                self._buckets[self._batch_time] = remaining
-                heapq.heappush(self._times, self._batch_time)
-            else:  # pragma: no cover - batch time never coexists with a bucket
-                existing.extend(remaining)
-        self._batch = _EMPTY
-        self._batch_pos = 0
-        self._batch_time = None
-
-    def _note_cancel(self) -> None:
-        self._n_cancelled += 1
-        self._n_pending -= 1
-
     def _maybe_compact(self) -> None:
-        if self._n_cancelled < COMPACT_MIN_CANCELLED:
-            return
-        if self._n_cancelled <= COMPACT_FRACTION * (
-            self._n_pending + self._n_cancelled
-        ):
-            return
-        self.compact()
+        if self._n_cancelled > COMPACT_FRACTION * len(self._heap):
+            self.compact()
 
     def compact(self) -> None:
-        """Drop every cancelled event still stored and rebuild the queue.
+        """Drop every cancelled event still stored and rebuild the heap.
 
         Runs automatically once cancelled events exceed
-        ``COMPACT_FRACTION`` of the pending set; callable directly for
-        tests and long-idle housekeeping.
+        ``COMPACT_FRACTION`` of the stored entries; callable directly
+        for tests and long-idle housekeeping.
         """
-        if self._batch_time is not None:
-            live_batch = [
-                e for e in self._batch[self._batch_pos :] if not e.cancelled
-            ]
-            if live_batch:
-                self._batch = live_batch
-                self._batch_pos = 0
-            else:
-                self._batch = _EMPTY
-                self._batch_pos = 0
-                self._batch_time = None
-        buckets: Dict[float, List[Event]] = {}
-        for time_key, bucket in self._buckets.items():
-            live = [e for e in bucket if not e.cancelled]
-            if live:
-                buckets[time_key] = live
-        self._buckets = buckets
-        self._times = list(buckets.keys())
-        heapq.heapify(self._times)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
         self._n_cancelled = 0
         self.compactions += 1
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty.
 
-        Skipped cancelled events are discarded as a side effect, so
-        repeated peeks stay O(1) amortized.
+        Cancelled events at the top of the heap are discarded as a side
+        effect, so repeated peeks stay O(1) amortized.
         """
-        while True:
-            batch = self._batch
-            pos = self._batch_pos
-            n = len(batch)
-            while pos < n:
-                event = batch[pos]
-                if event.cancelled:
-                    pos += 1
-                    self._n_cancelled -= 1
-                    continue
-                self._batch_pos = pos
-                return event.time
-            self._batch_pos = pos
-            if not self._times:
-                self._batch = _EMPTY
-                self._batch_pos = 0
-                self._batch_time = None
-                return None
-            next_time = heapq.heappop(self._times)
-            self._batch = self._buckets.pop(next_time)
-            self._batch_pos = 0
-            self._batch_time = next_time
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[2].cancelled:
+                return entry[0]
+            heappop(heap)
+            self._n_cancelled -= 1
+        return None
 
     def iter_pending(self) -> Iterator[Tuple[float, str]]:
         """Yield ``(time, name)`` for every live pending event.
@@ -263,14 +212,9 @@ class Simulator:
         This is the introspection surface the fluid fast-forward engine
         uses to fingerprint the queue and find far-future one-shots.
         """
-        if self._batch_time is not None:
-            for event in self._batch[self._batch_pos:]:
-                if not event.cancelled:
-                    yield event.time, event.name
-        for bucket in self._buckets.values():
-            for event in bucket:
-                if not event.cancelled:
-                    yield event.time, event.name
+        for time, _seq, event in self._heap:
+            if not event.cancelled:
+                yield time, event.name
 
     def warp(self, delta: float, freeze_after: Optional[float] = None) -> None:
         """Jump the clock forward by ``delta``, carrying pending events.
@@ -295,51 +239,24 @@ class Simulator:
         if delta <= 0:
             raise SimulationError(f"warp delta must be positive (got {delta})")
         new_now = self._now + delta
-        self._demote_batch()
+        live = [entry[2] for entry in self._heap if not entry[2].cancelled]
         if freeze_after is not None and freeze_after < new_now:
             # frozen events keep absolute times, so none may end up in
             # the past; check before mutating anything
-            for time_key in self._buckets:
-                if freeze_after <= time_key < new_now:
+            for event in live:
+                if freeze_after <= event.time < new_now:
                     raise SimulationError(
                         f"warp to t={new_now} would jump past the frozen "
-                        f"event at t={time_key}"
+                        f"event at t={event.time}"
                     )
-        buckets: Dict[float, List[Event]] = {}
-        merged = False
-        for time_key, bucket in self._buckets.items():
-            live = [e for e in bucket if not e.cancelled]
-            if not live:
-                continue
-            if freeze_after is None or time_key < freeze_after:
-                time_key = time_key + delta
-                for event in live:
-                    event.time = time_key
-            existing = buckets.get(time_key)
-            if existing is None:
-                buckets[time_key] = live
-            else:
-                existing.extend(live)
-                merged = True
-        if merged:
-            # a shifted time collided with a frozen one: restore the
-            # (time, seq) invariant inside the merged bucket
-            for bucket in buckets.values():
-                bucket.sort(key=lambda e: e.seq)
-        self._buckets = buckets
-        self._times = list(buckets.keys())
-        heapq.heapify(self._times)
+        for event in live:
+            if freeze_after is None or event.time < freeze_after:
+                event.time = event.time + delta
+        heap = self._heap
+        heap[:] = [(event.time, event.seq, event) for event in live]
+        heapify(heap)
         self._n_cancelled = 0
         self._now = new_now
-
-    def _pop_next(self) -> Optional[Event]:
-        """The next live event, already removed from the queue."""
-        if self.peek() is None:
-            return None
-        event = self._batch[self._batch_pos]
-        self._batch_pos += 1
-        self._n_pending -= 1
-        return event
 
     def step(self) -> bool:
         """Run the single next event.  Returns False if none remain.
@@ -348,44 +265,66 @@ class Simulator:
         were cancelled before firing are purged here without touching
         the counter.
         """
-        event = self._pop_next()
-        if event is None:
-            return False
-        self._now = event.time
-        self.events_processed += 1
-        event.callback()
-        return True
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed != before
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have been processed.  Returns the final time.
+    def run(
+        self,
+        until: Optional[float] = None,
+        max_events: Optional[int] = None,
+        deadline: Optional[float] = None,
+        observer: Optional[Callable[[Event], None]] = None,
+    ) -> float:
+        """Fire events in ``(time, seq)`` order; returns the final time.
 
-        When ``until`` is given, time is advanced to exactly ``until``
-        even if the last event fired earlier, mirroring how a testbench
-        runs for a fixed interval.
+        Stops before the next event once :meth:`stop` has been called,
+        the queue is empty, the next event lies beyond ``until``,
+        ``max_events`` events have fired, or the clock has passed
+        ``deadline``.  When ``until`` is given and no event at or before
+        it remains, time is advanced to exactly ``until`` even if the
+        last event fired earlier, mirroring how a testbench runs for a
+        fixed interval; reaching ``max_events`` or ``deadline`` leaves
+        the clock where the last event put it.
+
+        ``observer``, if given, is called with each event just before
+        it fires (the clock still reads the previous event's time).
         """
-        self._running = True
+        horizon = _INF if until is None else until
+        late = _INF if deadline is None else deadline
+        # -1 never equals the fired count, so no budget costs nothing
+        budget = -1 if max_events is None else (max_events if max_events > 0 else 0)
+        heap = self._heap
+        pop = heappop
+        if observer is not None:
+
+            def pop(heap):
+                entry = heappop(heap)
+                observer(entry[2])
+                return entry
+
+        fired = 0
+        reached = True  # whether the clock may advance to ``until``
         self._stopped = False
-        processed = 0
-        try:
-            while not self._stopped:
-                next_time = self.peek()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                event = self._batch[self._batch_pos]
-                self._batch_pos += 1
-                self._n_pending -= 1
-                self._now = event.time
-                self.events_processed += 1
-                event.callback()
-                processed += 1
-        finally:
-            self._running = False
-        if until is not None and self._now < until and not self._stopped:
+        while not self._stopped:
+            if fired == budget or self._now > late:
+                reached = False
+                break
+            if not heap:
+                break
+            time, _seq, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
+                self._n_cancelled -= 1
+                continue
+            if time > horizon:
+                break
+            pop(heap)
+            self._now = time
+            fired += 1
+            self.events_processed += 1
+            event.callback()
+        if until is not None and reached and not self._stopped and self._now < until:
             self._now = until
         return self._now
 
@@ -402,34 +341,14 @@ class Simulator:
         suite tracks so kernel regressions surface as a number.
         """
         counts: Dict[str, int] = {}
+
+        def count(event: Event) -> None:
+            counts[event.name] = counts.get(event.name, 0) + 1
+
         fired_before = self.events_processed
-        self._running = True
-        self._stopped = False
-        processed = 0
         t0 = _time.perf_counter()  # detlint: ok(profiling wall-clock dispatch rate, not simulated time)
-        try:
-            while not self._stopped:
-                next_time = self.peek()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                event = self._batch[self._batch_pos]
-                self._batch_pos += 1
-                self._n_pending -= 1
-                self._now = event.time
-                self.events_processed += 1
-                name = event.name
-                counts[name] = counts.get(name, 0) + 1
-                event.callback()
-                processed += 1
-        finally:
-            self._running = False
+        self.run(until, max_events, observer=count)
         wall = _time.perf_counter() - t0  # detlint: ok(profiling wall-clock dispatch rate, not simulated time)
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
         fired = self.events_processed - fired_before
         ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         return SimProfile(

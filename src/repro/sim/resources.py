@@ -40,6 +40,11 @@ class BoundedFifo:
         self._items: Deque[Tuple[Any, int]] = deque()
         self._occupancy = 0
         self.counters = CounterSet(["pushes", "pops", "drops", "bytes_in", "bytes_out"])
+        self._pushes = self.counters["pushes"]
+        self._pops = self.counters["pops"]
+        self._drops = self.counters["drops"]
+        self._bytes_in = self.counters["bytes_in"]
+        self._bytes_out = self.counters["bytes_out"]
 
     @property
     def occupancy_bytes(self) -> int:
@@ -55,12 +60,12 @@ class BoundedFifo:
 
     def push(self, item: Any, nbytes: int) -> bool:
         if not self.space_for(nbytes):
-            self.counters.add("drops")
+            self._drops.add()
             return False
         self._items.append((item, nbytes))
         self._occupancy += nbytes
-        self.counters.add("pushes")
-        self.counters.add("bytes_in", nbytes)
+        self._pushes.add()
+        self._bytes_in.add(nbytes)
         return True
 
     def pop(self) -> Optional[Tuple[Any, int]]:
@@ -68,8 +73,8 @@ class BoundedFifo:
             return None
         item, nbytes = self._items.popleft()
         self._occupancy -= nbytes
-        self.counters.add("pops")
-        self.counters.add("bytes_out", nbytes)
+        self._pops.add()
+        self._bytes_out.add(nbytes)
         return item, nbytes
 
     def peek(self) -> Optional[Tuple[Any, int]]:
@@ -108,6 +113,9 @@ class SerialLink:
         #: for the full service time (store-and-forward otherwise)
         self.cut_through_cycles = cut_through_cycles
         self.counters = CounterSet(["sent", "dropped", "bytes"])
+        self._sent = self.counters["sent"]
+        self._dropped = self.counters["dropped"]
+        self._bytes = self.counters["bytes"]
 
     @property
     def busy(self) -> bool:
@@ -135,7 +143,7 @@ class SerialLink:
     def offer(self, item: Any, nbytes: int) -> bool:
         """Enqueue an item; returns False (and drops) if the queue is full."""
         if not self.queue.push(item, nbytes):
-            self.counters.add("dropped")
+            self._dropped.add()
             return False
         if not self._busy:
             self._start_next()
@@ -169,8 +177,8 @@ class SerialLink:
         self._release()
 
     def _deliver(self, item: Any, nbytes: int) -> None:
-        self.counters.add("sent")
-        self.counters.add("bytes", nbytes)
+        self._sent.add()
+        self._bytes.add(nbytes)
         self._on_done(item)
 
     def _release(self) -> None:

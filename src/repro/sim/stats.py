@@ -9,15 +9,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 
-@dataclass
 class Counter:
-    """A monotonically increasing event counter."""
+    """A monotonically increasing event counter.
 
-    name: str
-    value: int = 0
+    Hot call sites bind the counter once (``self._sent =
+    counters["sent"]``) and call :meth:`add` on it directly, which skips
+    the name lookup :meth:`CounterSet.add` pays on every call.
+    """
+
+    __slots__ = ("name", "value", "tripwire")
+
+    def __init__(self, name: str, value: int = 0) -> None:
+        self.name = name
+        self.value = value
+        #: the :class:`Tripwire` watching this counter, if any
+        self.tripwire: Optional["Tripwire"] = None
+
+    def __repr__(self) -> str:
+        return f"Counter(name={self.name!r}, value={self.value})"
 
     def add(self, amount: int = 1) -> None:
         if amount < 0:
@@ -26,6 +38,64 @@ class Counter:
 
     def reset(self) -> None:
         self.value = 0
+
+
+class _WatchedCounter(Counter):
+    """A :class:`Counter` that also counts down its tripwire.
+
+    :meth:`Tripwire.arm` switches a counter's class to this one in
+    place, so references bound at construction see the check while every
+    unwatched counter keeps the plain :meth:`Counter.add`.
+    """
+
+    __slots__ = ()
+
+    def add(self, amount: int = 1) -> None:
+        if amount < 0:
+            raise ValueError("counters only increase")
+        self.value += amount
+        tripwire = self.tripwire
+        tripwire.remaining -= amount
+        if tripwire.remaining <= 0:
+            tripwire.on_trip()
+
+
+class Tripwire:
+    """Calls ``on_trip`` once its counters have together gained
+    ``remaining`` more.
+
+    Arming switches each counter's class to :class:`_WatchedCounter`
+    and points it at this tripwire, so only the counters of the armed
+    tripwire pay for the countdown.  ``on_trip`` runs on every add from
+    then on until the owner re-arms, so it must be idempotent
+    (``Simulator.stop`` is).  A counter changed by anything other than
+    :meth:`Counter.add` (a reset, or a direct write to ``value``) is not
+    seen: the owner re-arms from the exact counter values at each point
+    it resumes.
+    """
+
+    def __init__(self, counters: Iterable[Counter], on_trip: Callable[[], None]) -> None:
+        self.counters = list(counters)
+        self.on_trip = on_trip
+        self.remaining = 0
+
+    def total(self) -> int:
+        """The counters' current sum."""
+        return sum(counter.value for counter in self.counters)
+
+    def arm(self, target: int) -> None:
+        """Watch the counters and trip once their sum reaches ``target``."""
+        for counter in self.counters:
+            counter.__class__ = _WatchedCounter
+            counter.tripwire = self
+        self.remaining = target - self.total()
+
+    def release(self) -> None:
+        """Stop watching: the counters go back to the plain add."""
+        for counter in self.counters:
+            if counter.tripwire is self:
+                counter.__class__ = Counter
+                counter.tripwire = None
 
 
 class CounterSet:
@@ -37,9 +107,10 @@ class CounterSet:
             self._counters[name] = Counter(name)
 
     def __getitem__(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def add(self, name: str, amount: int = 1) -> None:
         self[name].add(amount)

@@ -99,8 +99,8 @@ class TestParallelDeterminism:
         runner = SweepRunner(jobs=2)
         outcome = runner.run(specs)
         statuses = [p.status for p in outcome]
-        assert statuses.count("ok") == 2
-        assert statuses[1] == "error" or "error" in statuses
+        # only the point that really kills its worker is blamed
+        assert statuses == ["ok", "error", "ok"]
 
 
 class TestCache:

@@ -58,6 +58,33 @@ class TestRoundRobinCluster:
             cluster.run_until_all_sent()
         assert cluster.total_sent() == 6
 
+    def test_drain_slot_work_is_per_burst(self, monkeypatch):
+        # each drain returns one credit per packet it saw sent, so slot
+        # bookkeeping stays O(burst) however many packets came before
+        from repro.core.descriptors import SlotTable
+
+        calls = {"occupancy": 0, "release": 0}
+        for name in calls:
+            original = getattr(SlotTable, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(SlotTable, name, counted)
+        cluster = FunctionalCluster(2, FORWARDER_ASM)
+        burst = 2 * cluster.config.slots_per_rpu
+        per_drain = []
+        for round_ in range(5):
+            for i in range(burst):
+                cluster.push_packet(_data(sport=round_ * burst + i + 1))
+            before = calls["occupancy"]
+            cluster.run_until_all_sent()
+            per_drain.append(calls["occupancy"] - before)
+        assert cluster.total_sent() == 5 * burst
+        assert calls["release"] == cluster.total_sent()
+        assert per_drain == [burst] * 5
+
     def test_hartid_distinct(self):
         cluster = FunctionalCluster(3, FORWARDER_ASM)
         assert [rpu.cpu.hartid for rpu in cluster.rpus] == [0, 1, 2]

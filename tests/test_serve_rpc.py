@@ -2,6 +2,7 @@
 
 import io
 import json
+import signal
 
 import pytest
 
@@ -176,3 +177,55 @@ class TestServeLoop:
         assert any(
             w["mttr_cycles"] for s in snapshots for w in s["watchdog"]
         )
+
+
+@pytest.fixture
+def deadline():
+    """Fail a request that runs longer than 30 s instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError("request did not finish within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestOpenRejectsBadBoundaries:
+    """Every bad ``open`` parameter is a SpecError reply, never a hang or
+    a low-level exception; ``run`` then reports there is no session."""
+
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            ({"gbps": float("nan")}, "offered rate nan"),
+            ({"gbps": float("inf")}, "offered rate inf"),
+            ({"size": 100_000}, "exceeds 65535 bytes"),
+            ({"warmup": -3, "packets": 0}, "non-negative"),
+            ({"packets": -1}, "non-negative"),
+            ({"max_cycles": float("nan")}, "max_cycles nan"),
+            ({"max_cycles": float("inf")}, "max_cycles inf"),
+            ({"max_cycles": 0}, "max_cycles 0"),
+        ],
+    )
+    def test_rejected_with_spec_error(self, deadline, overrides, fragment):
+        server = ServeServer()
+        reply = _call(server, "open", _open_params(**overrides))
+        assert not reply["ok"]
+        assert reply["error"]["type"] == "SpecError"
+        assert fragment in reply["error"]["message"]
+        ran = _call(server, "run", request_id=2)
+        assert not ran["ok"] and ran["error"]["type"] == "SessionError"
+
+    def test_zero_measure_window_still_runs(self, deadline):
+        server = ServeServer()
+        assert _call(server, "open", _open_params(warmup=50, packets=0))["ok"]
+        ran = _call(server, "run", request_id=2)
+        assert ran["ok"] and ran["result"]["done"]
+        assert ran["result"]["result"]["throughput"]["achieved_gbps"] == 0.0
+
+    def test_largest_frame_accepted(self, deadline):
+        spec = spec_from_params({"size": 65535})
+        assert spec.traffic.packet_size == 65535

@@ -1,6 +1,9 @@
 """Tests for the discrete-event kernel."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import SimulationError, Simulator
 
@@ -190,8 +193,8 @@ class TestBatching:
         assert order == ["first", "second", "nested"]
 
     def test_external_schedule_before_promoted_batch(self):
-        # peek() promotes the earliest bucket; scheduling an even
-        # earlier event afterwards must still fire first.
+        # peeking at the earliest event, then scheduling an even earlier
+        # one from outside a callback: the earlier one still fires first
         sim = Simulator()
         order = []
         sim.schedule(10, lambda: order.append("late"))
@@ -300,3 +303,153 @@ class TestProcesses:
         sim.run()
         assert ("fast", 0) in log and ("fast", 3) in log
         assert ("slow", 0) in log and ("slow", 5) in log
+
+
+class TestRunBounds:
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(math.nan, lambda: None)
+        assert sim.peek() is None
+
+    def test_deadline_stops_without_advancing_clock(self):
+        sim = Simulator()
+        for t in (10, 20, 30, 40):
+            sim.schedule_at(t, lambda: None)
+        # 20 > 15 once it has fired, so the event at 30 never does
+        assert sim.run(until=100, deadline=15) == 20
+        assert sim.events_processed == 2
+        assert sim.peek() == 30
+
+    def test_deadline_already_passed_fires_nothing(self):
+        sim = Simulator()
+        sim.schedule_at(5, lambda: None)
+        sim.run()
+        sim.schedule(1, lambda: None)
+        assert sim.run(deadline=4) == 5
+        assert sim.events_processed == 1
+
+    def test_max_events_leaves_clock_at_last_event(self):
+        sim = Simulator()
+        for t in (1, 2, 3):
+            sim.schedule_at(t, lambda: None)
+        assert sim.run(until=50, max_events=2) == 2
+        assert sim.run(until=50) == 50
+
+    def test_stop_from_callback_ends_run_after_that_event(self):
+        sim = Simulator()
+        sim.schedule_at(1, sim.stop)
+        sim.schedule_at(2, lambda: None)
+        assert sim.run(until=10) == 1
+        assert sim.peek() == 2
+
+    def test_observer_sees_every_fired_event(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(2, lambda: None, name="b")
+        sim.schedule(1, lambda: None, name="a").cancel()
+        sim.schedule(3, lambda: None, name="c")
+        sim.run(observer=lambda event: seen.append(event.name))
+        assert seen == ["b", "c"]
+
+
+class TestKernelOrderProperty:
+    """Random mixes of scheduling, cancellation, compaction, warps and
+    stops fire exactly the live events, in ``(time, seq)`` order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_firing_order_matches_reference(self, data):
+        sim = Simulator()
+        live = {}  # event -> the time the reference model expects
+        fired = []
+        stops = []
+
+        def schedule(at, depth):
+            stopper = data.draw(st.booleans().map(lambda b: b and depth == 0))
+            children = data.draw(
+                st.lists(st.integers(0, 5), max_size=2 if depth < 2 else 0)
+            )
+
+            def callback():
+                key = (live[event], event.seq)
+                assert key == min((t, e.seq) for e, t in live.items())
+                assert sim.now == live[event]
+                del live[event]
+                fired.append(key)
+                for delay in children:
+                    schedule(sim.now + delay, depth + 1)
+                if stopper:
+                    stops.append(key)
+                    sim.stop()
+
+            if data.draw(st.booleans()):
+                event = sim.schedule_at(at, callback, name=f"d{depth}")
+            else:
+                event = sim.schedule(at - sim.now, callback, name=f"d{depth}")
+            live[event] = at
+
+        ops = data.draw(
+            st.lists(
+                st.sampled_from(
+                    ["schedule", "same_time", "cancel", "compact", "warp",
+                     "step", "run_n", "run_until", "peek"]
+                ),
+                max_size=40,
+            )
+        )
+        for op in ops:
+            if op == "schedule":
+                schedule(sim.now + data.draw(st.integers(0, 20)), 0)
+            elif op == "same_time" and live:
+                schedule(data.draw(st.sampled_from(sorted(live.values()))), 0)
+            elif op == "cancel" and live:
+                victim = data.draw(st.sampled_from(sorted(live, key=lambda e: e.seq)))
+                victim.cancel()
+                del live[victim]
+            elif op == "compact":
+                sim.compact()
+            elif op == "warp":
+                delta = data.draw(st.integers(1, 30))
+                freeze = data.draw(st.one_of(st.none(), st.integers(0, 80)))
+                new_now = sim.now + delta
+                if freeze is not None and any(
+                    freeze <= t < new_now for t in live.values()
+                ):
+                    with pytest.raises(SimulationError):
+                        sim.warp(delta, freeze_after=freeze)
+                    continue
+                sim.warp(delta, freeze_after=freeze)
+                for event, t in live.items():
+                    if freeze is None or t < freeze:
+                        live[event] = t + delta
+                assert sim.now == new_now
+            elif op == "step":
+                before = len(fired)
+                assert sim.step() == (before < len(fired))
+            elif op == "run_n":
+                budget = data.draw(st.integers(0, 6))
+                before, stopped = len(fired), len(stops)
+                sim.run(max_events=budget)
+                ran = len(fired) - before
+                assert ran == budget or not live or len(stops) > stopped
+            elif op == "run_until":
+                bound = sim.now + data.draw(st.integers(0, 25))
+                stopped = len(stops)
+                sim.run(until=bound)
+                if len(stops) == stopped:
+                    assert sim.now == bound
+                    assert all(t > bound for t in live.values())
+            elif op == "peek":
+                expected = min(live.values()) if live else None
+                assert sim.peek() == expected
+            assert sorted(sim.iter_pending()) == sorted(
+                (t, e.name) for e, t in live.items()
+            )
+            assert sim.events_processed == len(fired)
+        while live:
+            sim.run()
+        assert sim.peek() is None
+        assert sim.events_processed == len(fired)

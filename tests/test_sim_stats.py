@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import Counter, CounterSet, Histogram, RateMeter
+from repro.sim.stats import Tripwire
 
 
 class TestCounters:
@@ -39,6 +40,42 @@ class TestCounters:
         counters.add("a", 4)
         counters.reset()
         assert counters.value("a") == 0
+
+
+class TestTripwire:
+    def test_trips_when_sum_reaches_target(self):
+        counters = CounterSet(["a", "b", "c"])
+        trips = []
+        wire = Tripwire([counters["a"], counters["b"]], lambda: trips.append(1))
+        counters.add("a", 2)
+        wire.arm(5)
+        counters.add("c", 10)  # not watched
+        counters.add("b", 2)
+        assert trips == []
+        counters["a"].add()
+        assert trips == [1] and wire.total() == 5
+        with pytest.raises(ValueError):
+            counters["a"].add(-1)
+
+    def test_release_restores_plain_counters(self):
+        counters = CounterSet(["a"])
+        trips = []
+        wire = Tripwire([counters["a"]], lambda: trips.append(1))
+        wire.arm(1)
+        wire.release()
+        counters.add("a", 3)
+        assert trips == [] and type(counters["a"]) is Counter
+        assert counters.value("a") == 3
+
+    def test_latest_arm_owns_the_counter(self):
+        counter = Counter("x")
+        first, second = [], []
+        stale = Tripwire([counter], lambda: first.append(1))
+        stale.arm(1)
+        Tripwire([counter], lambda: second.append(1)).arm(1)
+        stale.release()  # no longer its counter: a no-op
+        counter.add()
+        assert first == [] and second == [1]
 
 
 class TestHistogram:
