@@ -12,7 +12,12 @@ whole periods with arithmetic:
    (:func:`repro.fluid.signature.state_signature`), the queue-occupancy
    vector (:func:`repro.fluid.signature.queue_occupancy`), the value of
    every integer counter cell, every float accumulator, and the latency
-   samples recorded since the previous boundary.
+   samples recorded since the previous boundary.  The session runs the
+   kernel from boundary to boundary: :meth:`FluidEngine.arm_boundary`
+   sets the reference source's ``stop_at`` so its emission stops the
+   kernel right after that event, and :meth:`FluidEngine.after_event`
+   runs once per kernel run.  A warp (step 3) can only follow a
+   boundary capture, so no decision between boundaries is lost.
 
 2. **Period confirmation.** Boundaries live in a long phase-indexed
    history (:data:`_HISTORY_LEN` entries) with a signature-hash index,
@@ -313,16 +318,42 @@ class FluidEngine:
 
     # -- boundary capture & period confirmation ------------------------------
 
+    def capture_pending(self) -> bool:
+        """Whether the very next event captures a boundary, whatever it
+        is: ``sent`` sits on a multiple not captured yet (at the start,
+        or after a warp moved it by whole periods)."""
+        if not self.enabled:
+            return False
+        sent = self._boundary_src.sent
+        return sent != self._last_boundary_sent and sent % self._boundary_every == 0
+
+    def arm_boundary(self) -> None:
+        """Make the reference source stop the next kernel run right after
+        the emission that reaches the next multiple of its template
+        cycle: with no capture pending, the first event that can be a
+        boundary."""
+        if self.enabled:
+            src = self._boundary_src
+            every = self._boundary_every
+            src.stop_at = (src.sent // every + 1) * every
+
+    def disarm_boundary(self) -> None:
+        """Clear the boundary stop; called after every kernel run."""
+        if self._boundary_src is not None:
+            self._boundary_src.stop_at = -1
+
     def after_event(self) -> None:
-        """Called by the session after every fired event; captures a
-        boundary whenever the reference source just completed a template
-        cycle, and un-arms the warp otherwise (any event between
-        boundaries means the next warp decision needs a fresh match)."""
+        """Called by the session after every kernel run that fired an
+        event; captures a boundary whenever the last event completed a
+        template cycle of the reference source, and un-arms the warp
+        otherwise (any event between boundaries means the next warp
+        decision needs a fresh match).  The boundary stop ends a run at
+        the first boundary event, so the earlier events of the run were
+        not boundaries."""
         if not self.enabled:
             return
-        sent = self._boundary_src.sent
-        if sent != self._last_boundary_sent and sent % self._boundary_every == 0:
-            self._last_boundary_sent = sent
+        if self.capture_pending():
+            self._last_boundary_sent = self._boundary_src.sent
             self._capture_boundary()
         else:
             self._armed = False
@@ -545,7 +576,7 @@ class FluidEngine:
     def pre_step(self, until_ts: Optional[float] = None) -> bool:
         """If armed at a confirmed boundary, warp as many whole periods as
         the caps allow.  Returns True when time was skipped (the caller
-        re-enters its pump/step loop without firing an event)."""
+        re-enters its pump/run loop without firing an event)."""
         if not (self.enabled and self._armed and self._steady is not None):
             return False
         st = self._steady

@@ -284,12 +284,12 @@ class Assembler:
                 need(2)
                 base_reg, offset = self._mem_operand(ops[1], symbols, lineno)
                 return [encode_s(offset, reg(0), base_reg, _STORES[m], OP_STORE)]
-            if m == "lui":
+            if m in ("lui", "auipc"):
                 need(2)
-                return [encode_u(const(1) << 12, reg(0), OP_LUI)]
-            if m == "auipc":
-                need(2)
-                return [encode_u(const(1) << 12, reg(0), OP_AUIPC)]
+                upper = const(1)
+                if not -0x80000 <= upper <= 0xFFFFF:  # 20 bits, signed or unsigned
+                    raise AssemblerError(f"U-immediate {upper} out of range", lineno)
+                return [encode_u(upper << 12, reg(0), OP_LUI if m == "lui" else OP_AUIPC)]
             if m == "jal":
                 if len(ops) == 1:  # jal offset  (rd=ra)
                     return [encode_j(rel(0), 1, OP_JAL)]
@@ -378,8 +378,10 @@ class Assembler:
                 return [encode_i(0, reg(1), 1, 0, OP_SYSTEM) | (csr << 20)]
             if m in ("li", "la"):
                 need(2)
-                value = const(1) & 0xFFFFFFFF
-                return _expand_li(reg(0), value)
+                value = const(1)
+                if not -(1 << 31) <= value <= 0xFFFFFFFF:  # 32 bits, signed or unsigned
+                    raise AssemblerError(f"{m} value {value} does not fit in 32 bits", lineno)
+                return _expand_li(reg(0), value & 0xFFFFFFFF)
             if m in ("call", "tail"):
                 need(1)
                 target = self._const(ops[0], symbols, lineno)

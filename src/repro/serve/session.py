@@ -63,9 +63,9 @@ class SessionError(RuntimeError):
 # caller chunks its stepping.  The driver gets there without polling:
 # its completion counters carry a tripwire that calls ``sim.stop()``
 # the moment they reach the current target, so the session runs the
-# kernel in one ``sim.run`` per phase and pumps when it returns.  (The
-# fluid tier still pumps before every event: a warp advances counters
-# without going through ``Counter.add``.)
+# kernel in one ``sim.run`` per phase and pumps when it returns.  The
+# tripwire is re-armed before every run because a fluid warp writes
+# counter values directly.
 
 
 class _MeasurementDriver:
@@ -449,51 +449,8 @@ class SimSession:
         if cycles is not None:
             bound = sim.now + cycles
             until_ts = bound if until_ts is None else min(until_ts, bound)
-        fired = 0
-        froze = False
-        driver = self._measurement
-        fluid = self._fluid
-        while True:
-            if driver is not None and not driver.done:
-                driver.pump()
-                if driver.done:
-                    self._finalize()
-                    froze = True
-                    break
-            if n_events is not None and fired >= n_events:
-                break
-            if fluid is not None and fluid.pre_step(until_ts):
-                # time was warped analytically; re-enter the loop so the
-                # measurement pump observes the advanced ledger
-                continue
-            upcoming = sim.peek()
-            if upcoming is None:
-                break
-            if until_ts is not None and upcoming > until_ts:
-                break
-            if fluid is not None:
-                sim.step()
-                fluid.after_event()
-                fired += 1
-                continue
-            # one kernel run up to the next phase change (the tripwire
-            # stops it), the event budget, or the time bound
-            if driver is not None and not driver.done:
-                driver.arm()
-            before = sim.events_processed
-            sim.run(
-                until=until_ts,
-                max_events=None if n_events is None else n_events - fired,
-            )
-            fired += sim.events_processed - before
-        if until_ts is not None and not froze and sim.now < until_ts:
-            upcoming = sim.peek()
-            if upcoming is None or upcoming > until_ts:
-                # no events left before the bound: advance the clock to
-                # it (an exhausted event budget leaves it where it is)
-                sim.run(until=until_ts)
         return {
-            "events": fired,
+            "events": self._advance(until_ts=until_ts, n_events=n_events),
             "now": sim.now,
             "measurement_done": self.measurement_done,
         }
@@ -513,26 +470,67 @@ class SimSession:
                 "no measurement configured; open the session from a spec or "
                 "call measure_throughput()/measure_latency()"
             )
-        sim = self.sim
-        fluid = self._fluid
-        while not driver.done:
-            driver.pump()
-            if driver.done:
-                break
-            if fluid is not None and fluid.pre_step(None):
-                continue
-            driver.check_stall()
-            if fluid is not None:
-                sim.step()
-                fluid.after_event()
-            else:
-                # the tripwire stops the run at the next phase change;
-                # the deadline returns control to check_stall above
-                driver.arm()
-                sim.run(deadline=driver.deadline)
-        if self._result is None:
-            self._finalize()
+        if not driver.done:
+            self._advance(stall=True)
         return self._result
+
+    def _advance(self, until_ts: Optional[float] = None, n_events: Optional[int] = None,
+                 stall: bool = False) -> int:
+        """Pump, let the fluid tier warp, then run the kernel to the next
+        phase change (the driver's tripwire), fluid boundary (the source's
+        ``stop_at``), event budget or time bound; returns events fired.
+        ``stall`` is the batch path: stall guard and driver deadline."""
+        sim = self.sim
+        driver = self._measurement
+        fluid = self._fluid
+        deadline = driver.deadline if stall else None
+        fired = 0
+        while True:
+            if driver is not None and not driver.done:
+                driver.pump()
+                if driver.done:
+                    self._finalize()
+                    return fired
+            if n_events is not None and fired >= n_events:
+                break
+            if fluid is not None and fluid.pre_step(until_ts):
+                # time was warped analytically; re-enter the loop so the
+                # measurement pump observes the advanced ledger
+                continue
+            if stall:
+                driver.check_stall()
+            else:
+                upcoming = sim.peek()
+                if upcoming is None or (until_ts is not None and upcoming > until_ts):
+                    break
+            if driver is not None and not driver.done:
+                driver.arm()
+            budget = None if n_events is None else n_events - fired
+            if fluid is not None:
+                if fluid.capture_pending():
+                    # the first event after the start or a warp captures
+                    # a boundary whatever it is: run exactly that one
+                    budget = 1
+                else:
+                    fluid.arm_boundary()
+            before = sim.events_processed
+            try:
+                sim.run(until=until_ts, max_events=budget, deadline=deadline)
+            finally:
+                if fluid is not None:
+                    fluid.disarm_boundary()
+            ran = sim.events_processed - before
+            fired += ran
+            if ran and fluid is not None:
+                # the boundary stop ends a run at its first boundary event
+                fluid.after_event()
+        if until_ts is not None and sim.now < until_ts:
+            upcoming = sim.peek()
+            if upcoming is None or upcoming > until_ts:
+                # no events left before the bound: advance the clock to
+                # it (an exhausted event budget leaves it where it is)
+                sim.run(until=until_ts)
+        return fired
 
     def result(self) -> Any:
         """The finalized result; raises until the measurement completes."""

@@ -44,6 +44,9 @@ class TrafficSource:
         self.n_packets = n_packets
         self.respect_generator_cap = respect_generator_cap
         self.sent = 0
+        #: the fluid tier's boundary stop: the emission that makes
+        #: ``sent`` equal this stops the kernel (-1 never matches)
+        self.stop_at = -1
         self._started = False
 
     def next_packet(self) -> Packet:
@@ -82,6 +85,8 @@ class TrafficSource:
         packet = self.next_packet()
         self.system.offer_packet(self.port, packet)
         self.sent += 1
+        if self.sent == self.stop_at:
+            self.system.sim.stop()
         self.system.sim.schedule(
             self.interarrival_cycles(packet), self._emit, name=f"src_port{self.port}"
         )

@@ -1,8 +1,13 @@
 """Tests for the two-pass assembler."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.riscv import AssemblerError, MemoryBus, RiscvCpu, assemble, decode
+from repro.riscv.disasm import disassemble_word
+from repro.riscv.isa import OP_AUIPC, OP_LUI, encode_u
 
 
 def execute(source, max_instructions=100_000):
@@ -283,3 +288,100 @@ class TestOperandSyntax:
     def test_base_address(self):
         program = assemble("target:\n j target", base=0x1000)
         assert program.symbol("target") == 0x1000
+
+
+class TestImmediateRanges:
+    """U-type and ``li``/``la`` immediates are range-checked, never
+    silently truncated (the I/S/B/J formats already were)."""
+
+    @pytest.mark.parametrize("source", [
+        "lui a0, 0x100000",
+        "auipc a0, 0x100000",
+        "lui a0, -0x80001",
+        "auipc a0, -0x80001",
+    ])
+    def test_u_immediate_out_of_range(self, source):
+        with pytest.raises(AssemblerError, match=r"^line 2: U-immediate -?\d+ out of range"):
+            assemble("nop\n" + source)
+
+    @pytest.mark.parametrize("source", [
+        "li a0, 0x100000000",
+        "li a0, -2147483649",
+        "la a0, 0x100000000",
+    ])
+    def test_li_value_out_of_range(self, source):
+        with pytest.raises(AssemblerError, match=r"^line 2: l[ia] value -?\d+ does not fit"):
+            assemble("nop\n" + source)
+
+    @pytest.mark.parametrize("imm,word", [
+        ("0xFFFFF", 0xFFFFF537),
+        ("-0x80000", 0x80000537),
+        ("0x7FFFF", 0x7FFFF537),
+        ("-1", 0xFFFFF537),
+        ("%hi(0xFFFFFFFF)", 0x00000537),
+    ])
+    def test_u_immediate_edges(self, imm, word):
+        assert assemble(f"lui a0, {imm}").image == word.to_bytes(4, "little")
+
+    def test_li_edges_load_exactly(self):
+        cpu = execute("""
+            li a0, 0xFFFFFFFF
+            li a1, -2147483648
+            li a2, 0x80000000
+            ebreak
+        """)
+        assert cpu.read_reg(10) == 0xFFFFFFFF
+        assert cpu.read_reg(11) == 0x80000000
+        assert cpu.read_reg(12) == 0x80000000
+
+    #: SHA-256 of every bundled firmware image, recorded before the
+    #: range checks existed: the checks reject nothing they assemble
+    BUNDLED_IMAGES = {
+        "forwarder": "1767e1ef85686bede2c602e7fa8ed33e65497f3e742263d947398fe1755bbf4b",
+        "firewall": "3c5024061e75c36212a2fbb9edd87f5f73928df653594ea4522ab32510407c47",
+        "forwarder_irq": "3cd51d4ff03955cc1eb389ac069227b433bfa3d41e8b63de6d7b1ed38b7b7b06",
+        "flow_counter": "4fd88c879829e7322d73b4614a6a199714da2917d538117eee8870e11145ae17",
+        "pkt_gen": "21c3d4e5c3a1f64cccc72ed9355b2eb0c0f19de67e1bbf9e1a9f39c4037754e9",
+        "pigasus": "005abd6a537ac6ffc21fad6f5cf1eeb72e4845a53ad22c7b7550e19eb009fafb",
+    }
+
+    def test_bundled_firmware_images_unchanged(self):
+        from repro.verify.registry import bundled_firmwares
+
+        images = {
+            fw.name: hashlib.sha256(assemble(fw.asm).image).hexdigest()
+            for fw in bundled_firmwares()
+        }
+        assert images == self.BUNDLED_IMAGES
+
+    @given(
+        upper=st.one_of(
+            st.sampled_from([0, 1, 0x7FFFF, 0x80000, 0xFFFFE, 0xFFFFF]),
+            st.integers(0, 0xFFFFF),
+        ),
+        rd=st.integers(0, 31),
+        opcode=st.sampled_from([OP_LUI, OP_AUIPC]),
+    )
+    def test_u_type_round_trip(self, upper, rd, opcode):
+        """encode -> decode -> disasm -> assemble gives the same word."""
+        word = encode_u(upper << 12, rd, opcode)
+        inst = decode(word)
+        assert inst.rd == rd and inst.imm & 0xFFFFFFFF == upper << 12
+        assert assemble(disassemble_word(word)).image == word.to_bytes(4, "little")
+
+    @given(st.one_of(
+        st.sampled_from([-0x80000, -1, 0x80000, 0xFFFFF]),
+        st.integers(-0x80000, 0xFFFFF),
+    ))
+    def test_every_legal_u_immediate_assembles(self, upper):
+        word = int.from_bytes(assemble(f"lui a0, {upper}").image, "little")
+        assert word >> 12 == upper & 0xFFFFF
+
+    @given(st.one_of(
+        st.sampled_from([-0x80001, 0x100000]),
+        st.integers(max_value=-0x80001),
+        st.integers(min_value=0x100000),
+    ))
+    def test_every_illegal_u_immediate_rejected(self, upper):
+        with pytest.raises(AssemblerError, match="U-immediate"):
+            assemble(f"auipc a0, {upper}")
